@@ -111,6 +111,8 @@ struct alignas(64) EpochSlot {
   static constexpr uint64_t kIdle = UINT64_MAX;
   alignas(64) std::atomic<uint64_t> epoch{kIdle};
   std::atomic<bool> in_use{false};
+  // Live EpochGuards on the owning thread (touched by that thread only).
+  uint32_t guard_depth = 0;
 
   alignas(64) std::mutex limbo_mu;
   GarbageNode* limbo_head = nullptr;
@@ -366,20 +368,28 @@ class EpochGC {
   uint64_t collector_passes_ = 0;
 };
 
-/// RAII epoch scope for one logical operation.
+/// RAII epoch scope for one logical operation. Guards nest: an operation
+/// started inside another on the same thread (a scan callback that
+/// updates the scanned map) shares the outer pin, so its exit cannot
+/// unpin the structure the outer operation still reads.
 class EpochGuard {
  public:
   explicit EpochGuard(EpochGC& gc) : gc_(gc), slot_(gc.LocalSlot()) {
-    gc_.Enter(slot_);
+    if (slot_->guard_depth++ == 0) gc_.Enter(slot_);
   }
-  ~EpochGuard() { gc_.Exit(slot_); }
+  ~EpochGuard() {
+    if (--slot_->guard_depth == 0) gc_.Exit(slot_);
+  }
 
   EpochGuard(const EpochGuard&) = delete;
   EpochGuard& operator=(const EpochGuard&) = delete;
 
   /// Re-enter a fresh epoch mid-operation (after detecting a resize the
   /// client "restarts its operation after having entered in a new epoch").
+  /// A nested guard keeps the outer, older pin: it still covers anything
+  /// the restarted operation can load.
   void Refresh() {
+    if (slot_->guard_depth != 1) return;
     gc_.Exit(slot_);
     gc_.Enter(slot_);
   }

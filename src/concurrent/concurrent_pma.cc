@@ -21,10 +21,6 @@
 
 namespace cpma {
 
-// One tested lower bound for every segment search (hot-path subsystem,
-// ISSUE 2) instead of a per-TU scalar copy.
-using hotpath::SegmentLowerBound;
-
 void RecomputeFences(Structure* snap, size_t gb, size_t ge) {
   CPMA_CHECK(gb < ge && ge <= snap->num_gates());
   const Storage& st = *snap->storage;
@@ -613,12 +609,13 @@ void ConcurrentPMA::MaybeRequestShrink(Structure* snap) {
 
 // ---------------------------------------------------------------- reads
 //
-// All three readers (Find, SumAll, Scan) are optimistic-first: descend
-// the static index, snapshot the gate's seqlock version, read the live
-// storage with tagged accesses, validate. The blocking READ-latch path
-// survives as the per-gate fallback after `optimistic_retries_` failed
-// windows (0 = always blocking; CPMA_OPTIMISTIC_RETRIES env override).
-// Protocol and ordering argument: concurrent_pma.h / common/latches.h.
+// All three readers (Find, SumAll, ScanCursor) differ only in the body
+// they hand ReadGate: descend the static index, check the fences,
+// snapshot the gate's seqlock version, read the live storage with
+// tagged accesses, validate. The blocking READ-latch path survives as
+// the fallback after `optimistic_retries_` failed windows (0 = always
+// blocking; CPMA_OPTIMISTIC_RETRIES env override). Protocol and
+// ordering argument: concurrent_pma.h / common/latches.h.
 
 size_t ConcurrentPMA::LocateSegmentOptimistic(const Structure& snap,
                                               const Gate& gate,
@@ -638,50 +635,52 @@ size_t ConcurrentPMA::LocateSegmentOptimistic(const Structure& snap,
   return gate.seg_begin();
 }
 
-ConcurrentPMA::OptRead ConcurrentPMA::TryOptimisticFind(const Structure& snap,
-                                                        Key key,
-                                                        Value* value) const {
-  const Storage& st = *snap.storage;
-  const uint32_t B = static_cast<uint32_t>(st.segment_capacity());
-  size_t gid = snap.index->Lookup(key);
+template <typename ReadFn>
+ConcurrentPMA::GateRead ConcurrentPMA::ReadGate(Structure* snap, size_t* gid,
+                                                Key key, ReadFn&& read) const {
   for (int attempt = 0; attempt < optimistic_retries_; ++attempt) {
-    const Gate& gate = snap.gates[gid];
+    const Gate& gate = snap->gates[*gid];
     const uint64_t v = gate.version().ReadBegin();
     if (!SeqVersion::Stable(v)) continue;  // mutator active on this gate
-    if (gate.invalidated_relaxed()) return OptRead::kRestart;
+    if (gate.invalidated_relaxed()) return GateRead::kRetired;
     const Key lo = gate.low_fence();
     const Key hi = gate.high_fence();
     if (key < lo || key > hi) {
-      // Only a validated version proves [lo, hi] was read untorn;
-      // then the neighbour walk is as sound as the latched one. A walk
-      // burns an attempt, which bounds fence ping-pong under churn.
+      // Only a validated version proves [lo, hi] was read untorn; then
+      // the neighbour walk is as sound as the latched one. A walk burns
+      // an attempt, which bounds fence ping-pong under churn.
       if (!gate.version().Validate(v)) continue;
-      if (key < lo) {
-        if (gid == 0) return OptRead::kFallback;
-        --gid;
-      } else {
-        if (gid + 1 >= snap.num_gates()) return OptRead::kFallback;
-        ++gid;
-      }
+      if (key < lo ? *gid == 0 : *gid + 1 >= snap->num_gates()) break;
+      *gid = key < lo ? *gid - 1 : *gid + 1;
       continue;
     }
-    const size_t s = LocateSegmentOptimistic(snap, gate, key);
-    const Item* seg = st.segment(s);
-    // Clamp a (possibly racing) cardinality so the search never leaves
-    // the segment; any stored card is <= B, the min is belt-and-braces.
-    const uint32_t card = std::min(st.card(s), B);
-    const size_t pos = hotpath::TaggedSegmentLowerBound(seg, card, key);
-    Item it{kKeySentinel, 0};
-    if (pos < card) it = hotpath::TaggedLoadItem(seg + pos);
-    if (!gate.version().Validate(v)) continue;
-    // Stable window: the lookup linearizes at the validation point.
-    if (it.key == key) {
-      if (value != nullptr) *value = it.value;
-      return OptRead::kHit;
+    if (read(gate, &v) && gate.version().Validate(v)) {
+      return GateRead::kOptimistic;  // linearizes at the validation
     }
-    return OptRead::kMiss;
   }
-  return OptRead::kFallback;
+  // Blocking fallback: the pre-optimistic READ-latch protocol.
+  stat_read_fallbacks_.fetch_add(1, std::memory_order_relaxed);
+  TailEventRing::Global().RecordInstant(TailEvent::kReadFallback);
+  for (;;) {
+    Gate& gate = snap->gates[*gid];
+    switch (gate.ReaderAccess(&key)) {
+      case GateAccess::kTooLow:
+        CPMA_CHECK(*gid > 0);
+        --*gid;
+        continue;
+      case GateAccess::kTooHigh:
+        CPMA_CHECK(*gid + 1 < snap->num_gates());
+        ++*gid;
+        continue;
+      case GateAccess::kInvalidated:
+        return GateRead::kRetired;
+      default:
+        break;
+    }
+    read(gate, nullptr);
+    gate.ReaderRelease();
+    return GateRead::kLatched;
+  }
 }
 
 bool ConcurrentPMA::Find(Key key, Value* value) const {
@@ -689,308 +688,170 @@ bool ConcurrentPMA::Find(Key key, Value* value) const {
   EpochGuard guard(gc_);
   for (;;) {
     Structure* snap = structure_.load(std::memory_order_acquire);
-    switch (TryOptimisticFind(*snap, key, value)) {
-      case OptRead::kHit:
-        return true;
-      case OptRead::kMiss:
-        return false;
-      case OptRead::kRestart:
-        guard.Refresh();
-        continue;
-      case OptRead::kFallback:
-        break;
-    }
-    stat_read_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    TailEventRing::Global().RecordInstant(TailEvent::kReadFallback);
-    // Blocking fallback: the pre-optimistic READ-latch protocol.
+    const Storage& st = *snap->storage;
+    const uint32_t B = static_cast<uint32_t>(st.segment_capacity());
+    Item it{kKeySentinel, 0};
     size_t gid = snap->index->Lookup(key);
-    GateAccess a;
-    Gate* gate;
-    for (;;) {
-      gate = &snap->gates[gid];
-      a = gate->ReaderAccess(&key);
-      if (a == GateAccess::kTooLow) {
-        CPMA_CHECK(gid > 0);
-        --gid;
-      } else if (a == GateAccess::kTooHigh) {
-        CPMA_CHECK(gid + 1 < snap->num_gates());
-        ++gid;
-      } else {
-        break;
-      }
-    }
-    if (a == GateAccess::kInvalidated) {
+    const GateRead r = ReadGate(snap, &gid, key, [&](const Gate& gate,
+                                                     const uint64_t*) {
+      const size_t s = LocateSegmentOptimistic(*snap, gate, key);
+      const Item* seg = st.segment(s);
+      // Clamp a (possibly racing) cardinality so the search never leaves
+      // the segment; any stored card is <= B, the min is belt-and-braces.
+      const uint32_t card = std::min(st.card(s), B);
+      const size_t pos = hotpath::TaggedSegmentLowerBound(seg, card, key);
+      it = pos < card ? hotpath::TaggedLoadItem(seg + pos)
+                      : Item{kKeySentinel, 0};
+      return true;
+    });
+    if (r == GateRead::kRetired) {
       guard.Refresh();
       continue;
     }
-    const Storage& st = *snap->storage;
-    const size_t s = LocateSegment(*snap, *gate, key);
-    const Item* seg = st.segment(s);
-    const uint32_t card = st.card(s);
-    const size_t pos = SegmentLowerBound(seg, card, key);
-    const bool found = pos < card && seg[pos].key == key;
-    if (found && value != nullptr) *value = seg[pos].value;
-    gate->ReaderRelease();
-    return found;
+    if (it.key != key) return false;
+    if (value != nullptr) *value = it.value;
+    return true;
   }
-}
-
-ConcurrentPMA::OptGate ConcurrentPMA::TryOptimisticGateSum(
-    const Structure& snap, const Gate& gate, Key cursor, bool have_cursor,
-    uint64_t* sum_out, Key* gate_high) const {
-  const Storage& st = *snap.storage;
-  const uint32_t B = static_cast<uint32_t>(st.segment_capacity());
-  for (int attempt = 0; attempt < optimistic_retries_; ++attempt) {
-    const uint64_t v = gate.version().ReadBegin();
-    if (!SeqVersion::Stable(v)) continue;
-    if (gate.invalidated_relaxed()) return OptGate::kRestart;
-    const Key hi = gate.high_fence();
-    uint64_t local = 0;
-    bool ok = true;
-    for (size_t s = gate.seg_begin(); s < gate.seg_end(); ++s) {
-      if (s + 1 < gate.seg_end()) {
-        hotpath::PrefetchSegment(st.segment(s + 1), st.card(s + 1));
-      }
-      const Item* seg = st.segment(s);
-      const uint32_t card = std::min(st.card(s), B);
-      uint32_t i = 0;
-      if (have_cursor) {
-        i = static_cast<uint32_t>(
-            hotpath::TaggedSegmentLowerBound(seg, card, cursor));
-        if (i < card && TaggedLoad(&seg[i].key) == cursor) ++i;  // after
-      }
-      for (; i < card; ++i) local += TaggedLoad(&seg[i].value);
-      // Segment-copy granularity: one failed window discards at most
-      // one segment's worth of torn accumulation.
-      if (!gate.version().Validate(v)) {
-        ok = false;
-        break;
-      }
-    }
-    if (!ok) continue;
-    stat_optimistic_gate_reads_.fetch_add(1, std::memory_order_relaxed);
-    *sum_out = local;
-    *gate_high = hi;
-    return OptGate::kOk;
-  }
-  return OptGate::kFallback;
 }
 
 uint64_t ConcurrentPMA::SumAll() const {
   uint64_t sum = 0;
-  // The cursor is the last *validated* fence key: everything <= cursor
-  // is already folded, so restarts and fallbacks resume without
-  // re-reading chunks that validated.
-  Key cursor = 0;
-  bool have_cursor = false;
+  // Everything below `from` is folded. It only ever moves past a
+  // validated (or latched) high fence, and every gate is entered through
+  // ReadGate's fence check on `from`, so a stale index hit after a
+  // restart walks back instead of skipping keys, and a restart never
+  // re-reads gates that validated.
+  Key from = kKeyMin;
   EpochGuard guard(gc_);
   for (;;) {
     Structure* snap = structure_.load(std::memory_order_acquire);
     const Storage& st = *snap->storage;
-    size_t gid = have_cursor ? snap->index->Lookup(cursor) : 0;
-    bool restart = false;
-    for (; gid < snap->num_gates(); ++gid) {
-      Gate* gate = &snap->gates[gid];
+    const uint32_t B = static_cast<uint32_t>(st.segment_capacity());
+    size_t gid = snap->index->Lookup(from);
+    for (;;) {
       uint64_t gate_sum = 0;
-      Key gate_high = kKeySentinel;
-      const OptGate r = TryOptimisticGateSum(*snap, *gate, cursor,
-                                             have_cursor, &gate_sum,
-                                             &gate_high);
-      if (r == OptGate::kRestart) {
-        guard.Refresh();
-        restart = true;
-        break;
-      }
-      if (r == OptGate::kFallback) {
-        stat_read_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-        TailEventRing::Global().RecordInstant(TailEvent::kReadFallback);
-        if (gate->ReaderAccess(nullptr) == GateAccess::kInvalidated) {
-          guard.Refresh();
-          restart = true;
-          break;
-        }
+      Key hi = kKeySentinel;
+      const GateRead r = ReadGate(snap, &gid, from, [&](const Gate& gate,
+                                                        const uint64_t* v) {
+        hi = gate.high_fence();
         gate_sum = 0;
-        for (size_t s = gate->seg_begin(); s < gate->seg_end(); ++s) {
+        for (size_t s = gate.seg_begin(); s < gate.seg_end(); ++s) {
           // Prefetch stays inside the gate: card(s+1) in a foreign gate
           // would race with its writer outside any validated window.
-          if (s + 1 < gate->seg_end()) {
+          if (s + 1 < gate.seg_end()) {
             hotpath::PrefetchSegment(st.segment(s + 1), st.card(s + 1));
           }
           const Item* seg = st.segment(s);
-          const uint32_t card = st.card(s);
-          uint32_t i = 0;
-          if (have_cursor) {
-            i = static_cast<uint32_t>(SegmentLowerBound(seg, card, cursor));
-            if (i < card && seg[i].key == cursor) ++i;  // strictly after
+          const uint32_t card = std::min(st.card(s), B);
+          for (size_t i = hotpath::TaggedSegmentLowerBound(seg, card, from);
+               i < card; ++i) {
+            gate_sum += TaggedLoad(&seg[i].value);
           }
-          for (; i < card; ++i) gate_sum += seg[i].value;
+          // Segment granularity: one failed window discards at most one
+          // segment's worth of torn accumulation.
+          if (v != nullptr && !gate.version().Validate(*v)) return false;
         }
-        gate_high = gate->high_fence();
-        gate->ReaderRelease();
+        return true;
+      });
+      if (r == GateRead::kRetired) break;
+      if (r == GateRead::kOptimistic) {
+        stat_optimistic_gate_reads_.fetch_add(1, std::memory_order_relaxed);
       }
       sum += gate_sum;
-      // Advance-only: a stale index descent after a restart can land
-      // left of the cursor's gate, whose high fence is smaller — moving
-      // the cursor backwards would re-admit already-folded keys.
-      if (!have_cursor || gate_high > cursor) cursor = gate_high;
-      have_cursor = true;
+      if (hi >= kKeyMax) return sum;
+      from = hi + 1;
+      ++gid;
     }
-    if (!restart) return sum;
-  }
-}
-
-ConcurrentPMA::OptGate ConcurrentPMA::TryOptimisticGateCopy(
-    const Structure& snap, const Gate& gate, Key cursor, Key max,
-    std::vector<Item>* out, Key* gate_high) const {
-  const Storage& st = *snap.storage;
-  const uint32_t B = static_cast<uint32_t>(st.segment_capacity());
-  for (int attempt = 0; attempt < optimistic_retries_; ++attempt) {
-    const uint64_t v = gate.version().ReadBegin();
-    if (!SeqVersion::Stable(v)) continue;
-    if (gate.invalidated_relaxed()) return OptGate::kRestart;
-    const Key hi = gate.high_fence();
-    out->clear();
-    bool ok = true;
-    for (size_t s = gate.seg_begin(); s < gate.seg_end(); ++s) {
-      if (s + 1 < gate.seg_end()) {
-        hotpath::PrefetchSegment(st.segment(s + 1), st.card(s + 1));
-      }
-      const Item* seg = st.segment(s);
-      const uint32_t card = std::min(st.card(s), B);
-      // Stage only [cursor, ...]: a narrow range scan must not pay a
-      // whole-chunk copy (the pre-optimistic path emitted from the
-      // per-segment lower bound too).
-      const uint32_t i0 = static_cast<uint32_t>(
-          hotpath::TaggedSegmentLowerBound(seg, card, cursor));
-      if (i0 < card) {
-        const size_t base = out->size();
-        out->resize(base + (card - i0));
-        hotpath::TaggedReadItems(out->data() + base, seg + i0, card - i0);
-      }
-      // Segment-copy granularity: a failed window never stages more
-      // than one segment of torn data before being discarded.
-      if (!gate.version().Validate(v)) {
-        ok = false;
-        break;
-      }
-      // Validated tail already past `max`: later segments only hold
-      // greater keys, stop staging (the emitter trims the overshoot).
-      if (!out->empty() && out->back().key > max) break;
-    }
-    if (!ok) continue;
-    stat_optimistic_gate_reads_.fetch_add(1, std::memory_order_relaxed);
-    *gate_high = hi;
-    return OptGate::kOk;
-  }
-  return OptGate::kFallback;
-}
-
-void ConcurrentPMA::CopyGateLatched(const Structure& snap, const Gate& gate,
-                                    Key cursor, Key max,
-                                    std::vector<Item>* out) const {
-  const Storage& st = *snap.storage;
-  out->clear();
-  for (size_t s = gate.seg_begin(); s < gate.seg_end(); ++s) {
-    if (s + 1 < gate.seg_end()) {
-      hotpath::PrefetchSegment(st.segment(s + 1), st.card(s + 1));
-    }
-    const Item* seg = st.segment(s);
-    const uint32_t card = st.card(s);
-    const size_t i0 = SegmentLowerBound(seg, card, cursor);
-    out->insert(out->end(), seg + i0, seg + card);
-    if (!out->empty() && out->back().key > max) break;
+    guard.Refresh();
   }
 }
 
 ConcurrentPMA::ScanCursor::ScanCursor(const ConcurrentPMA& pma, Key min,
                                       Key max)
-    : pma_(pma), guard_(pma.gc_), max_(max), cursor_(min), done_(min > max) {}
+    : pma_(pma), guard_(pma.gc_), max_(max), next_(min), done_(min > max) {}
 
-bool ConcurrentPMA::ScanCursor::NextChunk(std::vector<Item>* out) {
-  out->clear();
-  if (done_) return false;
-  // The body is the former Scan() loop with emission replaced by a
-  // return: each call stages one gate's chunk (validated seqlock window
-  // or latched fallback) into `chunk_`, trims it to the still-pending
-  // range, and hands the trimmed run to the caller. Callers therefore
-  // consume items outside every latch and validation window, exactly
-  // like Scan callbacks did. On a failed validation the cursor restarts
-  // from a fresh snapshot; `out` is still empty at that point (we
-  // return as soon as it is filled), so no chunk is ever re-delivered.
-  for (;;) {
-    Structure* snap = pma_.structure_.load(std::memory_order_acquire);
-    size_t gid = snap->index->Lookup(cursor_);
-    bool restart = false;
-    for (; gid < snap->num_gates(); ++gid) {
-      Gate* gate = &snap->gates[gid];
-      Key gate_high = kKeySentinel;
-      const OptGate r = pma_.TryOptimisticGateCopy(*snap, *gate, cursor_,
-                                                   max_, &chunk_, &gate_high);
-      if (r == OptGate::kRestart) {
-        guard_.Refresh();
-        restart = true;
-        break;
-      }
-      if (r == OptGate::kFallback) {
-        pma_.stat_read_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-        TailEventRing::Global().RecordInstant(TailEvent::kReadFallback);
-        if (gate->ReaderAccess(nullptr) == GateAccess::kInvalidated) {
-          guard_.Refresh();
-          restart = true;
+ConcurrentPMA::ScanCursor::~ScanCursor() {
+  if (optimistic_reads_ == 0) return;
+  pma_.stat_optimistic_gate_reads_.fetch_add(optimistic_reads_,
+                                             std::memory_order_relaxed);
+}
+
+size_t ConcurrentPMA::ScanCursor::NextWindow(Item* buf) {
+  while (!done_) {
+    if (snap_ == nullptr) {
+      snap_ = pma_.structure_.load(std::memory_order_acquire);
+      gid_ = snap_->index->Lookup(next_);
+    }
+    const Storage& st = *snap_->storage;
+    const uint32_t B = static_cast<uint32_t>(st.segment_capacity());
+    size_t n = 0;
+    Key hi = kKeySentinel;
+    bool drained = true;  // nothing >= next_ is left in the gate after buf
+    // The window: the first items >= next_ of the gate's chunk, at most
+    // kWindow of them and all from one segment. Segments before the
+    // located one hold only smaller keys, later ones only greater keys.
+    const GateRead r = pma_.ReadGate(snap_, &gid_, next_, [&](
+                                         const Gate& gate, const uint64_t*) {
+      hi = gate.high_fence();
+      n = 0;
+      drained = true;
+      size_t s = pma_.LocateSegmentOptimistic(*snap_, gate, next_);
+      for (; s < gate.seg_end(); ++s) {
+        const Item* seg = st.segment(s);
+        const uint32_t card = std::min(st.card(s), B);
+        const size_t i = hotpath::TaggedSegmentLowerBound(seg, card, next_);
+        if (i < card) {
+          n = std::min<size_t>(card - i, kWindow);
+          hotpath::TaggedReadItems(buf, seg + i, n);
+          drained = i + n == card;
+          if (drained && s + 1 < gate.seg_end()) {
+            hotpath::PrefetchSegment(st.segment(s + 1), st.card(s + 1));
+          }
           break;
         }
-        pma_.CopyGateLatched(*snap, *gate, cursor_, max_, &chunk_);
-        gate_high = gate->high_fence();
-        gate->ReaderRelease();
       }
-      // Trim the staged (validated or latched) copy to the pending
-      // range: strictly after the cursor once it was delivered, and
-      // nothing past max.
-      size_t i = static_cast<size_t>(
-          std::lower_bound(chunk_.begin(), chunk_.end(), cursor_,
-                           [](const Item& a, Key k) { return a.key < k; }) -
-          chunk_.begin());
-      if (consumed_cursor_ && i < chunk_.size() && chunk_[i].key == cursor_) {
-        ++i;
-      }
-      size_t j = i;
-      while (j < chunk_.size() && chunk_[j].key <= max_) ++j;
-      const bool past_max = j < chunk_.size();  // saw a key > max
-      if (i < j) {
-        out->assign(chunk_.begin() + static_cast<ptrdiff_t>(i),
-                    chunk_.begin() + static_cast<ptrdiff_t>(j));
-        cursor_ = chunk_[j - 1].key;
-        consumed_cursor_ = true;
-      }
-      if (past_max || gate_high >= max_) {
-        done_ = true;  // gates right of here exceed max
-        return !out->empty();
-      }
-      // Resume from the validated fence: the next gate's keys are all
-      // greater, and a restart re-enters past this chunk. Advance-only
-      // (see SumAll): never move the cursor backwards off a stale gate.
-      if (gate_high > cursor_ ||
-          (!consumed_cursor_ && gate_high == cursor_)) {
-        cursor_ = gate_high;
-        consumed_cursor_ = true;
-      }
-      if (!out->empty()) return true;
+      for (++s; drained && s < gate.seg_end(); ++s) drained = st.card(s) == 0;
+      return true;
+    });
+    if (r == GateRead::kRetired) {
+      guard_.Refresh();
+      snap_ = nullptr;
+      continue;
     }
-    if (!restart) {
+    if (r == GateRead::kOptimistic) ++optimistic_reads_;
+    // Keys ascend: trim the tail past max_. The cursor resumes after the
+    // window, or past the gate's high fence when the window drained the
+    // gate; that fence was read in the same validated (or latched)
+    // window, so a torn fence never moves the cursor.
+    size_t m = n;
+    while (m > 0 && buf[m - 1].key > max_) --m;
+    const Key passed = drained ? hi : buf[n - 1].key;
+    if (m < n || passed >= max_) {
       done_ = true;
-      return !out->empty();
+    } else {
+      next_ = passed + 1;
+      if (drained) ++gid_;
     }
+    if (m > 0) return m;
   }
+  return 0;
+}
+
+bool ConcurrentPMA::ScanCursor::NextChunk(std::vector<Item>* out) {
+  out->resize(kWindow);
+  out->resize(NextWindow(out->data()));
+  return !out->empty();
 }
 
 void ConcurrentPMA::Scan(Key min, Key max, const ScanCallback& cb) const {
-  // Thin wrapper over the pull cursor (ISSUE 8) so the existing scan
-  // tests cover the chunk decomposition the sharded merge relies on.
+  // Each window is validated (or latched and released) before the
+  // callback sees it, and the callback's `false` stops the scan before
+  // the next window is read.
   ScanCursor cursor(*this, min, max);
-  std::vector<Item> chunk;
-  while (cursor.NextChunk(&chunk)) {
-    for (const Item& it : chunk) {
-      if (!cb(it.key, it.value)) return;
+  Item window[ScanCursor::kWindow];
+  while (const size_t n = cursor.NextWindow(window)) {
+    for (size_t i = 0; i < n; ++i) {
+      if (!cb(window[i].key, window[i].value)) return;
     }
   }
 }

@@ -26,21 +26,27 @@
 //      which proves the [low, high] pair was untorn — walk to the
 //      neighbour gate on mismatch, exactly like the latched descent;
 //   5. run the SIMD segment search / scan copy directly on the live
-//      storage with tagged accesses (common/tagged.h); multi-gate scans
-//      stage one chunk at a time and re-validate at *segment-copy*
-//      granularity so a failed window discards at most one segment;
+//      storage with tagged accesses (common/tagged.h). Scans read one
+//      *segment window* per step: at most ScanCursor::kWindow items, all
+//      from one segment, starting at the first key not yet delivered;
 //   6. validate the version; on success the read linearizes at the
 //      validation point. On failure retry; after
 //      `ConcurrentConfig::optimistic_retries` failed windows per gate
 //      (env override CPMA_OPTIMISTIC_RETRIES; 0 forces fallback) fall
-//      back to the blocking READ latch — the pre-ISSUE-4 path, kept
-//      bit-for-bit so the forced-fallback mode is the old protocol.
-// Scans resume from the last *validated* fence key: a gate that
-// validates contributes its whole chunk and advances the cursor to its
-// high fence, so a restart (resize) or fallback never re-reads chunks
-// that already validated. Epoch pinning keeps a rewired/retired storage
-// alive across the validation window, so torn reads are bounded but
-// never wild. Memory-ordering argument: SeqVersion in common/latches.h.
+//      back to the blocking READ latch, taken with the same fence check
+//      (ReaderAccess(&key)) and neighbour walk as the latched descent.
+// Every reader runs steps 2-6 through one visitor, ReadGate(). Scans
+// treat the index as the hint it is: each window enters its gate with
+// Find's fence check on the next undelivered key, so a stale descent (or
+// fences that moved since the last window) walks to the right gate
+// instead of skipping the keys in between. A window that finds nothing
+// at or after that key moves the cursor past the gate's high fence, and
+// only after the window validated: a torn fence never moves the cursor.
+// The caller consumes each window outside every latch and validation
+// window, so a scan callback may write to the same PMA. Epoch pinning
+// keeps a rewired/retired storage alive across the validation window,
+// so torn reads are bounded but never wild. Memory-ordering argument:
+// SeqVersion in common/latches.h.
 //
 // Updates may therefore complete asynchronously; Flush() waits until all
 // queued work (including rebalancer batches) has been applied.
@@ -143,35 +149,42 @@ class ConcurrentPMA : public OrderedMap {
   /// array order; `ops[i].seq` is overwritten.
   void UpdateBatch(GateOp* ops, size_t n);
 
-  /// Pull-based ordered read cursor (ISSUE 8): the per-gate chunk loop
-  /// of Scan() exposed as an explicit cursor, so a consumer can merge
+  /// Pull-based ordered read cursor: the segment-window reader
+  /// behind Scan() exposed as an explicit cursor, so a consumer can merge
   /// several PMAs' streams (the sharded front end's k-way scan merge)
-  /// without inverting control through callbacks. Each NextChunk()
-  /// delivers the next validated run of items in (last delivered,
-  /// max] — one gate's chunk, staged under the same optimistic
-  /// seqlock/fallback protocol as Scan and trimmed to the range — or
-  /// returns false when the range is exhausted. The cursor pins its
-  /// epoch for its whole lifetime; hold it only for the duration of a
-  /// scan pass.
+  /// without inverting control through callbacks. Each call delivers the
+  /// next validated run of items in (last delivered, max]: one validated
+  /// segment window, read under the optimistic seqlock/fallback protocol
+  /// above. The cursor pins its epoch for its whole lifetime; hold it
+  /// only for the duration of a scan pass.
   class ScanCursor {
    public:
+    /// Upper bound on the items one window delivers (never more than the
+    /// segment capacity either: a window stays inside one segment).
+    static constexpr size_t kWindow = 64;
+
     ScanCursor(const ConcurrentPMA& pma, Key min, Key max);
+    ~ScanCursor();
 
     ScanCursor(const ScanCursor&) = delete;
     ScanCursor& operator=(const ScanCursor&) = delete;
 
-    /// Fill `out` with the next chunk (ascending keys, all in range,
-    /// non-empty on true). False = range exhausted; `out` is cleared.
+    /// Copy the next window (ascending keys, all in range) into `buf`,
+    /// which holds kWindow items. Returns its size; 0 = range exhausted.
+    size_t NextWindow(Item* buf);
+
+    /// NextWindow into `out`: false (and `out` empty) once exhausted.
     bool NextChunk(std::vector<Item>* out);
 
    private:
     const ConcurrentPMA& pma_;
     EpochGuard guard_;
     const Key max_;
-    Key cursor_;
-    bool consumed_cursor_ = false;
+    Key next_;  // smallest key not yet delivered or passed over
     bool done_ = false;
-    std::vector<Item> chunk_;  // per-gate staging, reused across calls
+    Structure* snap_ = nullptr;  // pinned by guard_; null = reload
+    size_t gid_ = 0;             // gate hint in snap_
+    uint64_t optimistic_reads_ = 0;  // published once, on destruction
   };
   size_t Size() const override {
     return count_.load(std::memory_order_relaxed);
@@ -199,7 +212,7 @@ class ConcurrentPMA : public OrderedMap {
     return stat_batches_.load(std::memory_order_relaxed);
   }
 
-  /// Times a read (Find, or one gate of a Scan/SumAll) exhausted its
+  /// Times a read (Find, one SumAll gate or one scan window) exhausted its
   /// optimistic retry budget and took the blocking READ latch. Zero
   /// under quiescence proves the optimistic path carried every read;
   /// the forced-fallback mode (retry budget 0) counts every read here.
@@ -207,8 +220,9 @@ class ConcurrentPMA : public OrderedMap {
     return stat_read_fallbacks_.load(std::memory_order_relaxed);
   }
 
-  /// Gate chunks served latch-free by validated optimistic scan windows
-  /// (Scan/SumAll; Find avoids a shared counter on its hot path).
+  /// SumAll gates and scan windows served latch-free by a validated
+  /// seqlock window (Find avoids a shared counter on its hot path; a scan
+  /// cursor adds its count once, when it is destroyed).
   uint64_t num_optimistic_gate_reads() const {
     return stat_optimistic_gate_reads_.load(std::memory_order_relaxed);
   }
@@ -388,29 +402,19 @@ class ConcurrentPMA : public OrderedMap {
   size_t LocateSegmentOptimistic(const Structure& snap, const Gate& gate,
                                  Key key) const;
 
-  /// One budget-bounded optimistic point lookup against `snap`.
-  enum class OptRead { kHit, kMiss, kFallback, kRestart };
-  OptRead TryOptimisticFind(const Structure& snap, Key key,
-                            Value* value) const;
-
-  /// One budget-bounded optimistic visit of a gate's chunk, staging
-  /// only items in [cursor, ...] and stopping past `max`. kOk hands
-  /// the caller validated data plus the gate's high fence (the scan
-  /// resume point); kFallback means the budget is spent (take the READ
-  /// latch); kRestart means the snapshot was retired.
-  enum class OptGate { kOk, kFallback, kRestart };
-  OptGate TryOptimisticGateCopy(const Structure& snap, const Gate& gate,
-                                Key cursor, Key max, std::vector<Item>* out,
-                                Key* gate_high) const;
-  OptGate TryOptimisticGateSum(const Structure& snap, const Gate& gate,
-                               Key cursor, bool have_cursor,
-                               uint64_t* sum_out, Key* gate_high) const;
-
-  /// Blocking-path helper: stage a latched gate's chunk (range-bounded
-  /// like TryOptimisticGateCopy) for emission outside the latch, so
-  /// user callbacks run latch-free in both modes.
-  void CopyGateLatched(const Structure& snap, const Gate& gate, Key cursor,
-                       Key max, std::vector<Item>* out) const;
+  /// The one gate-read primitive behind Find, SumAll and ScanCursor:
+  /// run `read(gate, v)` on the gate of `snap` whose fences hold `key`,
+  /// starting from gate *gid (an index hint; updated to the gate read).
+  /// Up to optimistic_retries_ seqlock windows first: `v` points at the
+  /// window's version (the body may validate early and return false to
+  /// abandon it) and each validated fence mismatch walks one neighbour
+  /// and burns an attempt. Then the blocking fallback: READ latch via
+  /// ReaderAccess(&key), the same walk, `read(gate, nullptr)`, release.
+  /// The body uses tagged accesses, so it is sound in both modes.
+  enum class GateRead { kOptimistic, kLatched, kRetired };
+  template <typename ReadFn>
+  GateRead ReadGate(Structure* snap, size_t* gid, Key key,
+                    ReadFn&& read) const;
 
   /// True if the effective spread policy is adaptive (paper: one-by-one
   /// leverages adaptive rebalancing, batch uses traditional).

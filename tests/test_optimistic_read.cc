@@ -16,6 +16,14 @@
 //    global rebalances plus resizes under running scans; scans must
 //    stay sorted, duplicate-free and value-consistent while fences
 //    move beneath them.
+//  - ShortScansUnderTailAppendsStartAtTheirKey: short scans from keys
+//    near the top of a dense preload, while one client appends above
+//    it, must start exactly at their key and stay consecutive; a scan
+//    that trusted a stale index hit skipped the keys in between.
+//  - ScanCallbackMayWriteTheSameMap*: a callback that inserts into and
+//    reads the map it scans completes, in both read modes, and the scan
+//    still delivers every key that existed throughout.
+//  - ScanStopsWhenTheCallbackReturnsFalse: no call after the `false`.
 //  - ForcedFallback*: CPMA_OPTIMISTIC_RETRIES=0 disables the optimistic
 //    path; the blocking latch protocol must pass the same checks, and
 //    the fallback counter proves which path served the reads.
@@ -237,6 +245,131 @@ TEST(OptimisticRead, ScanDuringFenceMovingRebalance) {
   // The array grew through resizes; the global rebalance machinery must
   // actually have run for this test to mean anything.
   EXPECT_GT(pma.num_resizes() + pma.num_global_rebalances(), 0u);
+}
+
+TEST(OptimisticRead, ShortScansUnderTailAppendsStartAtTheirKey) {
+  ConcurrentPMA pma(SmallGateConfig(ConcurrentConfig::AsyncMode::kSync));
+  constexpr Key kTop = Key{1} << 16;  // dense preload 1..kTop
+  constexpr Key kAppends = 20000;
+  constexpr int kScanners = 3;
+  for (Key k = 1; k <= kTop; ++k) pma.Insert(k, ValueFor(k));
+  pma.Flush();
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> scans{0};
+  std::atomic<uint64_t> bad_start{0};
+  std::atomic<uint64_t> bad_run{0};
+  // One client appends above the preload: every append lands in the
+  // tail gates, whose rebalances keep moving their fences.
+  std::thread appender([&] {
+    for (Key k = kTop + 1; k <= kTop + kAppends; ++k) {
+      pma.Insert(k, ValueFor(k));
+    }
+    stop.store(true, std::memory_order_relaxed);
+  });
+  std::vector<std::thread> scanners;
+  for (int t = 0; t < kScanners; ++t) {
+    scanners.emplace_back([&, t] {
+      uint64_t x = 0x2545F4914F6CDD1Dull * static_cast<uint64_t>(t + 1);
+      while (!stop.load(std::memory_order_relaxed)) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        const Key start = kTop - (x % 2048);
+        const size_t len = 1 + (x >> 32) % 100;
+        std::vector<Key> got;
+        pma.Scan(start, kKeyMax, [&](Key key, Value value) {
+          if (value != ValueFor(key)) bad_run.fetch_add(1);
+          got.push_back(key);
+          return got.size() < len;
+        });
+        scans.fetch_add(1, std::memory_order_relaxed);
+        if (got.empty() || got[0] != start) {
+          bad_start.fetch_add(1, std::memory_order_relaxed);
+          continue;
+        }
+        for (size_t i = 1; i < got.size(); ++i) {
+          // Consecutive inside the preload; ascending past it.
+          if (got[i] <= kTop ? got[i] != got[i - 1] + 1
+                             : got[i] <= got[i - 1]) {
+            bad_run.fetch_add(1, std::memory_order_relaxed);
+            break;
+          }
+        }
+      }
+    });
+  }
+  appender.join();
+  for (auto& th : scanners) th.join();
+  EXPECT_EQ(bad_start.load(), 0u) << "of " << scans.load() << " scans";
+  EXPECT_EQ(bad_run.load(), 0u) << "of " << scans.load() << " scans";
+  EXPECT_GT(scans.load(), 0u);
+  pma.Flush();
+  std::string err;
+  EXPECT_TRUE(pma.CheckInvariants(&err)) << err;
+}
+
+// Preload the even keys, then scan everything with a callback that
+// reads its key back and inserts the odd key after it. The inserts grow
+// the map through rebalances and resizes beneath the scan, which must
+// neither deadlock nor drop an even key.
+void RunScanCallbackThatWrites(ConcurrentPMA* pma) {
+  constexpr Key kEvens = 4096;
+  for (Key k = 2; k <= 2 * kEvens; k += 2) pma->Insert(k, ValueFor(k));
+  pma->Flush();
+  const uint64_t resizes_before = pma->num_resizes();
+  Key prev = 0;
+  uint64_t evens = 0, misses = 0, order = 0;
+  pma->Scan(kKeyMin, kKeyMax, [&](Key key, Value value) {
+    if (key <= prev || value != ValueFor(key)) ++order;
+    prev = key;
+    if (key % 2 == 0) {
+      ++evens;
+      Value v = 0;
+      if (!pma->Find(key, &v) || v != ValueFor(key)) ++misses;
+      pma->Insert(key + 1, ValueFor(key + 1));
+    }
+    return true;
+  });
+  EXPECT_EQ(order, 0u);
+  EXPECT_EQ(misses, 0u);
+  EXPECT_EQ(evens, kEvens);
+  pma->Flush();
+  EXPECT_EQ(pma->Size(), static_cast<size_t>(2 * kEvens));
+  EXPECT_GT(pma->num_resizes(), resizes_before)
+      << "the callback's inserts never resized the map under the scan";
+  std::string err;
+  EXPECT_TRUE(pma->CheckInvariants(&err)) << err;
+}
+
+TEST(OptimisticRead, ScanCallbackMayWriteTheSameMap) {
+  ConcurrentPMA pma(SmallGateConfig(ConcurrentConfig::AsyncMode::kSync));
+  RunScanCallbackThatWrites(&pma);
+}
+
+TEST(OptimisticRead, ScanCallbackMayWriteTheSameMapLatched) {
+  ScopedEnv env("CPMA_OPTIMISTIC_RETRIES", "0");  // every window latches
+  ConcurrentPMA pma(SmallGateConfig(ConcurrentConfig::AsyncMode::kSync));
+  ASSERT_EQ(pma.optimistic_retries(), 0);
+  RunScanCallbackThatWrites(&pma);
+  EXPECT_GT(pma.num_read_fallbacks(), 0u);
+}
+
+TEST(OptimisticRead, ScanStopsWhenTheCallbackReturnsFalse) {
+  ConcurrentPMA pma(SmallGateConfig(ConcurrentConfig::AsyncMode::kSync));
+  for (Key k = 1; k <= 1000; ++k) pma.Insert(k, ValueFor(k));
+  pma.Flush();
+  // Stop points inside the first window, on window boundaries and
+  // across several segments and gates.
+  for (size_t stop_after : {1, 2, 31, 32, 33, 63, 64, 65, 129, 700}) {
+    size_t calls = 0;
+    pma.Scan(1, kKeyMax, [&](Key key, Value) {
+      ++calls;
+      EXPECT_EQ(key, calls);
+      return calls < stop_after;
+    });
+    EXPECT_EQ(calls, stop_after);
+  }
 }
 
 TEST(OptimisticRead, ForcedFallbackMatchesBlocking) {

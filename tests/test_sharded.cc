@@ -10,7 +10,8 @@
 //  - Router*: range partition edge cases (domain ends, custom splitter
 //    boundaries, monotonicity), hash partition coverage + stability.
 //  - ScanCursor*: the pull-based chunk cursor underlying the merge —
-//    concatenated chunks == the sorted range, trimming, empty ranges.
+//    concatenated chunks == the sorted range, trimming, empty ranges,
+//    no chunk larger than one segment.
 //  - UpdateBatch*: block stamp reservation applies a producer-ordered
 //    run exactly like one-by-one issue (same-key runs: last op wins).
 //  - Coalescing*: staged ops are invisible until a size/age/Flush
@@ -196,6 +197,33 @@ TEST(ScanCursor, EmptyAndInvertedRanges) {
   {
     ConcurrentPMA::ScanCursor cur(pma, 101, 99999);  // nothing in range
     EXPECT_FALSE(cur.NextChunk(&chunk));
+  }
+}
+
+TEST(ScanCursor, WindowsStayWithinOneSegment) {
+  // 8-slot segments (smaller than ScanCursor::kWindow) and the default
+  // 128: every chunk fits one segment and the chunks still concatenate
+  // to the sorted range.
+  for (size_t cap : {size_t{8}, size_t{128}}) {
+    ConcurrentConfig cfg = TinyShard(ConcurrentConfig::AsyncMode::kSync);
+    cfg.pma.segment_capacity = cap;
+    ConcurrentPMA pma(cfg);
+    for (Key k = 3; k <= 6000; k += 3) pma.Insert(k, k + 1);
+    pma.Flush();
+    ConcurrentPMA::ScanCursor cur(pma, 100, 5000);
+    std::vector<Item> chunk;
+    Key expect = 102;
+    while (cur.NextChunk(&chunk)) {
+      ASSERT_FALSE(chunk.empty());
+      EXPECT_LE(chunk.size(), cap);
+      EXPECT_LE(chunk.size(), ConcurrentPMA::ScanCursor::kWindow);
+      for (const Item& it : chunk) {
+        ASSERT_EQ(it.key, expect);
+        EXPECT_EQ(it.value, it.key + 1);
+        expect += 3;
+      }
+    }
+    EXPECT_EQ(expect, Key{5001}) << "cap " << cap;
   }
 }
 
